@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
+from bench_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.encyclopedia.model import EncyclopediaDump

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from bench_parallel_build import merge_bench_json
+from bench_build import merge_bench_json
 from repro.core.pipeline import CNProbaseBuilder, PipelineConfig, ResourceCache
 from repro.encyclopedia import SyntheticWorld
 from repro.eval.report import render_table

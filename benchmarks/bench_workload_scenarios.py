@@ -27,7 +27,7 @@ smoke-test territory; the request sequence is identical either way.
 
 from __future__ import annotations
 
-from bench_parallel_build import BENCH_JSON
+from bench_build import BENCH_JSON
 from repro.eval.report import render_table
 from repro.workloads import (
     append_scenario_entry,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 tests + the fast perf gates to run before pushing pipeline or
-# serving changes: stage-registry overhead, parallel-vs-serial build
-# equivalence (byte-identical output + speedup trajectory), serving
-# throughput (read-optimized snapshots >= 2x the per-call-sorted path),
-# the serving cluster (sharded answers byte-identical to the unsharded
+# serving changes: stage-registry overhead, the serial build (a
+# symbolic and a default-config row with per-stage seconds, byte-
+# identical rebuild, resource-cache hit), serving throughput
+# (read-optimized snapshots >= 2x the per-call-sorted path), the
+# serving cluster (sharded answers byte-identical to the unsharded
 # facade at 1/2/4 shards, HTTP batched > HTTP singles), the incremental
 # rebuild contract (delta-applied taxonomy byte-identical to a full
 # rebuild, small-change refresh faster than a full build) and two real
@@ -21,10 +22,8 @@
 # telemetry overhead gate (unified registry + trace hook within 5% of
 # the un-instrumented in-process hot path), the exposition-parity
 # smoke (every metric in the JSON /metrics payload must appear in the
-# Prometheus text rendering, and vice versa), the process-backend
-# smoke (CLI build with --backend processes byte-identical to serial,
-# sidecar records the backend), a fast single-scenario CLI smoke, and
-# the static-analysis gate (`cn-probase lint`: every repro.analysis
+# Prometheus text rendering, and vice versa), a fast single-scenario
+# CLI smoke, and the static-analysis gate (`cn-probase lint`: every repro.analysis
 # checker over every package, zero non-baselined findings).  The perf
 # numbers land in benchmarks/out/BENCH_parallel.json so future PRs
 # have a trajectory to regress against — the final check fails the run
@@ -39,7 +38,7 @@ bench_bytes_before=0
 
 python -m pytest -x -q
 python -m pytest -x -q benchmarks/bench_stage_overhead.py
-python -m pytest -x -q benchmarks/bench_parallel_build.py \
+python -m pytest -x -q benchmarks/bench_build.py \
     benchmarks/bench_serving_throughput.py
 python -m pytest -x -q benchmarks/bench_serving_cluster.py
 python -m pytest -x -q benchmarks/bench_incremental_build.py
@@ -50,11 +49,10 @@ python benchmarks/smoke_serving_roundtrip.py
 python benchmarks/smoke_incremental_roundtrip.py
 python benchmarks/smoke_chaos_replication.py
 python benchmarks/smoke_metrics_parity.py
-python benchmarks/smoke_process_backend.py
 # fast single-scenario smoke through the CLI: in-process facade + a
 # live `cn-probase serve` subprocess, 4x-compressed schedule
 python -m repro.cli workload run steady_table2 --time-scale 4
-# static-analysis gate: all five invariant checkers, hard-fail on any
+# static-analysis gate: all four invariant checkers, hard-fail on any
 # finding that is neither pragma-acknowledged nor in the shipped
 # baseline; the counts land as the static_analysis trajectory section
 python -m repro.cli lint --format json --bench-json "$bench_json" \
@@ -87,17 +85,18 @@ assert not untraced, (
     f"scenarios without a per-hop trace breakdown: {untraced}"
 )
 assert "obs_overhead" in data, "telemetry overhead gate never ran"
-backends = data.get("parallel_build", {}).get("backends", {})
-missing_backends = {
-    "threads", "processes_w2", "processes_w4", "processes_smoke",
-} - set(backends)
-assert not missing_backends, (
-    f"build backends missing from the perf trajectory: "
-    f"{sorted(missing_backends)}"
+build = data.get("build", {})
+missing_rows = {"symbolic", "default"} - set(build)
+assert not missing_rows, (
+    f"build rows missing from the perf trajectory: {sorted(missing_rows)}"
 )
-assert backends["processes_smoke"].get("identical_output"), (
-    "process-backend CLI smoke did not assert byte-identity"
-)
+for name in ("symbolic", "default"):
+    assert build[name].get("identical_rebuild"), (
+        f"build bench did not assert a byte-identical {name} rebuild"
+    )
+    assert build[name].get("stage_seconds"), (
+        f"build bench recorded no per-stage seconds for {name}"
+    )
 analysis = data.get("static_analysis")
 assert analysis, "static-analysis gate never ran (no static_analysis section)"
 assert analysis["findings_new"] == 0, (

@@ -29,7 +29,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 sys.path.insert(0, str(REPO / "src"))
 
-from bench_parallel_build import merge_bench_json  # noqa: E402
+from bench_build import merge_bench_json  # noqa: E402
 from repro.workloads import (  # noqa: E402
     FaultSpec,
     build_chaos_cluster,

@@ -31,7 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))
 sys.path.insert(0, str(REPO / "src"))
 
-from bench_parallel_build import merge_bench_json  # noqa: E402
+from bench_build import merge_bench_json  # noqa: E402
 from smoke_serving_roundtrip import cli_env, wait_for_ready  # noqa: E402
 from repro.encyclopedia import (  # noqa: E402
     EncyclopediaDump,

@@ -30,7 +30,6 @@ from repro.analysis.framework import (
     run_analysis,
 )
 from repro.analysis.locks import LockDisciplineChecker
-from repro.analysis.pickling import PickleSafetyChecker
 from repro.analysis.taxonomy_errors import ErrorTaxonomyChecker
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "LockDisciplineChecker",
     "ModuleIndex",
     "ParsedModule",
-    "PickleSafetyChecker",
     "all_checkers",
     "default_baseline_path",
     "run_analysis",
@@ -52,11 +50,10 @@ __all__ = [
 
 
 def all_checkers() -> list[Checker]:
-    """The five shipped checkers, in report order."""
+    """The four shipped checkers, in report order."""
     return [
         DeterminismChecker(),
         LockDisciplineChecker(),
-        PickleSafetyChecker(),
         ErrorTaxonomyChecker(),
         DeprecationChecker(),
     ]

@@ -1,8 +1,8 @@
 """Determinism checker: no ambient entropy outside sanctioned modules.
 
 The backbone contracts — same ``(Scenario, seed)`` → byte-identical
-schedule, same dump → byte-identical taxonomy at any backend × worker
-count, deterministic trace/event ids — all die quietly the first time
+schedule, same dump → byte-identical taxonomy, deterministic
+trace/event ids — all die quietly the first time
 a module reaches for ambient entropy.  This checker walks every module
 and forbids:
 

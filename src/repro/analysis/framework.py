@@ -1,10 +1,10 @@
 """The checker framework: parsed-module index, findings, baselines.
 
 Every invariant this reproduction sells — byte-identical schedules from
-``(Scenario, seed)``, byte-identical builds at any backend × worker
-count, zero mixed-version answers under chaos — is held by a coding
-convention (seeded RNGs, ``with self._lock:`` blocks, picklable
-payloads, :class:`~repro.errors.ReproError` subclasses).  This module
+``(Scenario, seed)``, byte-identical rebuilds of the same dump, zero
+mixed-version answers under chaos — is held by a coding convention
+(seeded RNGs, ``with self._lock:`` blocks,
+:class:`~repro.errors.ReproError` subclasses).  This module
 is the machinery that turns those conventions into machine-checked
 rules:
 

@@ -165,9 +165,6 @@ class AbstractSource:
     """
 
     name = SOURCE_ABSTRACT
-    # Reads the bracket source's output: the ExecutionPlan schedules this
-    # stage in a wave after "bracket" when the build runs with workers.
-    requires = (SOURCE_BRACKET,)
 
     def generate(self, context) -> list[IsARelation] | None:
         priors = context.relations_from(SOURCE_BRACKET)

@@ -138,9 +138,6 @@ class InfoboxSource:
     """
 
     name = SOURCE_INFOBOX
-    # Aligns against the bracket source's output, so the ExecutionPlan
-    # places this stage in a wave after "bracket".
-    requires = (SOURCE_BRACKET,)
 
     def generate(self, context) -> list[IsARelation] | None:
         priors = context.relations_from(SOURCE_BRACKET)

@@ -212,9 +212,6 @@ class BracketSource:
     """
 
     name = SOURCE_BRACKET
-    # Explicitly dependency-free: reads no other source's output, so the
-    # ExecutionPlan may schedule it in the first wave.
-    requires = ()
 
     def generate(self, context) -> list[IsARelation]:
         extractor = BracketExtractor(

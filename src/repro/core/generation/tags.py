@@ -50,9 +50,6 @@ class TagSource:
     """Registry adapter: the direct tag-extraction generation stage."""
 
     name = SOURCE_TAG
-    # Explicitly dependency-free: reads no other source's output, so the
-    # ExecutionPlan may schedule it in the first wave.
-    requires = ()
     # Per-page output depends on nothing but the page itself (no PMI, no
     # lexicon, no other pages), and every emitted relation carries the
     # page's id as its hyponym.  That is the ``page_local`` contract:

@@ -22,26 +22,10 @@ A stage is any object satisfying one of two structural protocols:
 Both receive a :class:`BuildContext` carrying the shared NLP resources
 (lexicon, segmenter, tagger, recognizer, PMI statistics, segmented
 corpus, page titles) prepared exactly once by the driver, so stages stop
-re-deriving them.  Per-stage wall-clock, candidate counts, worker counts
-and cache hits land in a :class:`StageTrace` on the build result.
-
-Stages additionally carry two optional scheduling declarations the
-:class:`ExecutionPlan` consumes:
-
-- ``requires`` (sources) — names of earlier sources whose output the
-  stage reads through :meth:`BuildContext.relations_from`; sources with
-  no unmet requirement run concurrently in one *wave* when the build is
-  given workers.  Parallelism is opt-in: a source that declares nothing
-  is scheduled after **every** source registered before it (the exact
-  serial contract pre-dating the planner), so existing third-party
-  stages keep seeing their predecessors' output;
-- ``per_relation_pure`` (verifiers) — a promise that
-  ``verify(context, chunk)`` over any partition of the relation list,
-  concatenated in order, equals one ``verify`` over the whole list; the
-  driver shards such verifiers over relation chunks.
-
-Neither declaration changes results: a plan executed with one worker and
-with N workers produces byte-identical taxonomies.
+re-deriving them.  Sources run in registration order, each seeing the
+output of every source registered before it; per-stage wall-clock,
+candidate counts and cache hits land in a :class:`StageTrace` on the
+build result.
 """
 
 from __future__ import annotations
@@ -156,12 +140,10 @@ class StageRecord:
     ``seconds`` then keeps the time that probe cost) — so ablation runs
     still show the full pipeline shape.
 
-    ``workers`` is how many workers actually served the stage (sharded
-    verifiers; >1 on a source means it shared its wave with others),
-    ``backend`` is the executor that served it (``serial`` / ``threads``
-    / ``processes``), and ``cache_hit`` marks work skipped because a
-    cache answered (today: the ``resources`` driver step under the
-    build-context cache).
+    ``cache_hit`` marks work skipped because a cache answered: the
+    ``resources`` driver step under the build-context cache, or a
+    ``page_local`` source replaying unchanged pages in an incremental
+    build.
     """
 
     name: str
@@ -169,9 +151,7 @@ class StageRecord:
     seconds: float
     count: int
     ran: bool = True
-    workers: int = 1
     cache_hit: bool = False
-    backend: str = "serial"
 
 
 @dataclass
@@ -217,9 +197,7 @@ class StageTrace:
                 "seconds": r.seconds,
                 "count": r.count,
                 "ran": r.ran,
-                "workers": r.workers,
                 "cache_hit": r.cache_hit,
-                "backend": r.backend,
             }
             for r in self.records
         }
@@ -230,18 +208,7 @@ class StageTrace:
 
 @dataclass
 class StageEntry:
-    """One named registration: how to build a stage, and whether to.
-
-    ``requires`` (sources only) lists earlier sources whose output this
-    stage reads; the :class:`ExecutionPlan` schedules it in a later wave
-    than every active requirement.  Defaults to the factory's
-    ``requires`` class attribute, so stage classes can declare their own
-    data dependencies.  ``None`` means undeclared: the planner then
-    conservatively schedules the stage after every source ahead of it
-    in registration order — i.e. exactly the serial pipeline's
-    ``relations_from`` visibility.  Declare ``requires = ()`` to opt a
-    dependency-free stage into the first wave.
-    """
+    """One named registration: how to build a stage, and whether to."""
 
     name: str
     kind: str
@@ -249,7 +216,6 @@ class StageEntry:
     origin: str
     enabled: bool = True
     config_flag: str | None = None
-    requires: tuple[str, ...] | None = None
 
     def active(self, config: object) -> bool:
         """Registry switch ANDed with the legacy ``PipelineConfig`` flag."""
@@ -263,10 +229,12 @@ class StageEntry:
 class StageRegistry:
     """Named, ordered registry of generation sources and verifiers.
 
-    Sources run in registration order, then verifiers in registration
-    order — the disjunctive semantics of the verification module make
-    verifier order irrelevant for the final set, but the order is still
-    honoured and traced.  Names are unique across both kinds.
+    Sources run in registration order, so a source that reads another's
+    output through :meth:`BuildContext.relations_from` must be
+    registered after it.  Verifiers then run in registration order: the
+    disjunctive semantics of the verification module make verifier
+    order irrelevant for the final set, but the order is still honoured
+    and traced.  Names are unique across both kinds.
     """
 
     def __init__(self) -> None:
@@ -283,16 +251,14 @@ class StageRegistry:
         origin: str | None = None,
         index: int | None = None,
         config_flag: str | None = None,
-        requires: tuple[str, ...] | None = None,
     ) -> StageEntry:
         """Register a :class:`GenerationSource` factory under *name*.
 
         Also registers *name* as a valid relation provenance so the
         stage can stamp its output ``IsARelation(source=name)``.
-        *requires* defaults to the factory's ``requires`` attribute.
         """
         entry = self._register(
-            SOURCE_KIND, name, factory, origin, index, config_flag, requires
+            SOURCE_KIND, name, factory, origin, index, config_flag
         )
         register_source_name(name)
         return entry
@@ -308,7 +274,7 @@ class StageRegistry:
     ) -> StageEntry:
         """Register a :class:`Verifier` factory under *name*."""
         return self._register(
-            VERIFIER_KIND, name, factory, origin, index, config_flag, None
+            VERIFIER_KIND, name, factory, origin, index, config_flag
         )
 
     def _register(
@@ -319,7 +285,6 @@ class StageRegistry:
         origin: str | None,
         index: int | None,
         config_flag: str | None,
-        requires: tuple[str, ...] | None,
     ) -> StageEntry:
         if not name:
             raise PipelineError("stage name must be non-empty")
@@ -330,16 +295,9 @@ class StageRegistry:
             )
         if origin is None:
             origin = getattr(factory, "__module__", None) or "unknown"
-        if requires is None:
-            declared = getattr(factory, "requires", None)
-            requires = None if declared is None else tuple(declared)
-        else:
-            requires = tuple(requires)
-        if requires and name in requires:
-            raise PipelineError(f"stage {name!r} cannot require itself")
         entry = StageEntry(
             name=name, kind=kind, factory=factory,
-            origin=origin, config_flag=config_flag, requires=requires,
+            origin=origin, config_flag=config_flag,
         )
         self._entries[name] = entry
         order = self._order[kind]
@@ -395,121 +353,11 @@ class StageRegistry:
                 copied = StageEntry(
                     name=entry.name, kind=entry.kind, factory=entry.factory,
                     origin=entry.origin, enabled=entry.enabled,
-                    config_flag=entry.config_flag, requires=entry.requires,
+                    config_flag=entry.config_flag,
                 )
                 duplicate._entries[name] = copied
                 duplicate._order[kind].append(name)
         return duplicate
-
-
-# -- execution planning --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """How one build will execute a registry: waves, shards, workers.
-
-    ``source_waves`` are topological levels of the active sources'
-    ``requires`` graph: every source in a wave has all of its active
-    requirements satisfied by earlier waves, so a wave's members can run
-    concurrently.  Registration order is preserved inside each wave and
-    is the order results are merged in, which is why a plan executed
-    with any worker count produces identical output.
-
-    ``verifiers`` run strictly in order (each consumes the previous
-    one's survivors); parallelism there comes from sharding a
-    ``per_relation_pure`` verifier over relation chunks instead.
-    """
-
-    source_waves: tuple[tuple[StageEntry, ...], ...]
-    verifiers: tuple[StageEntry, ...]
-    workers: int = 1
-    #: Effective execution backend: ``serial`` / ``threads`` /
-    #: ``processes``.  A one-worker plan is always ``serial`` whatever
-    #: the config asked for — there is nothing to parallelize.
-    backend: str = "serial"
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1 and self.backend != "serial"
-
-    @property
-    def n_sources(self) -> int:
-        return sum(len(wave) for wave in self.source_waves)
-
-    @property
-    def max_wave_width(self) -> int:
-        return max((len(wave) for wave in self.source_waves), default=0)
-
-    def describe(self) -> str:
-        """Human-readable schedule (the CLI prints this at -v)."""
-        lines = [f"workers={self.workers} backend={self.backend}"]
-        for i, wave in enumerate(self.source_waves, start=1):
-            names = ", ".join(entry.name for entry in wave)
-            lines.append(f"wave {i}: {names}")
-        names = ", ".join(entry.name for entry in self.verifiers)
-        lines.append(f"verifiers: {names or '(none)'}")
-        return "\n".join(lines)
-
-
-def plan_execution(
-    registry: StageRegistry,
-    config: object,
-    workers: int = 1,
-    backend: str | None = None,
-) -> ExecutionPlan:
-    """Compute the wave schedule for *registry* under *config*.
-
-    A requirement naming a disabled or unregistered stage does not
-    block scheduling — the dependent source simply sees no output from
-    it (``relations_from`` returns ``[]``), exactly as in serial
-    execution.  A source whose entry declares no ``requires`` at all is
-    given an implicit dependency on every active source ahead of it in
-    registration order, preserving the pre-planner serial contract.  A
-    genuine ``requires`` cycle among active sources raises
-    :class:`~repro.errors.PipelineError`.
-
-    *backend* defaults to ``config.backend`` (``threads`` when the
-    config has no such field); a plan with one worker resolves to
-    ``serial`` regardless.
-    """
-    workers = max(1, int(workers))
-    if backend is None:
-        backend = getattr(config, "backend", "threads")
-    if workers <= 1:
-        backend = "serial"
-    active = [e for e in registry.sources() if e.active(config)]
-    active_names = {e.name for e in active}
-    requires: dict[str, tuple[str, ...]] = {}
-    for position, entry in enumerate(active):
-        if entry.requires is None:
-            requires[entry.name] = tuple(e.name for e in active[:position])
-        else:
-            requires[entry.name] = entry.requires
-    waves: list[tuple[StageEntry, ...]] = []
-    placed: set[str] = set()
-    pending = list(active)
-    while pending:
-        wave = tuple(
-            entry for entry in pending
-            if all(
-                dep in placed or dep not in active_names
-                for dep in requires[entry.name]
-            )
-        )
-        if not wave:
-            cycle = ", ".join(e.name for e in pending)
-            raise PipelineError(
-                f"stage dependency cycle among sources: {cycle}"
-            )
-        waves.append(wave)
-        placed.update(entry.name for entry in wave)
-        pending = [e for e in pending if e.name not in placed]
-    verifiers = tuple(e for e in registry.verifiers() if e.active(config))
-    return ExecutionPlan(
-        source_waves=tuple(waves), verifiers=verifiers, workers=workers,
-        backend=backend,
-    )
 
 
 def default_registry() -> StageRegistry:

@@ -343,7 +343,6 @@ def run_schedule(
                     trace_id = trace_source.mint()
                     minted_ids.add(trace_id)
                 n_served += 1
-                # lint: allow[pickle-safety] thread pool — no process boundary
                 pool.submit(serve, item, target_t, start, trace_id)
     for thread in action_threads:
         thread.join(timeout=60.0)

@@ -150,6 +150,36 @@ class TestCustomStages:
         assert result.stage_trace.get("demo").ran is False
 
 
+class TestSourceOrder:
+    """Sources run in registration order, so a source sees the output
+    of every source registered before it."""
+
+    def test_sources_merge_in_registration_order(self, world):
+        result = build_cn_probase(world.dump(), fast_config())
+        assert list(result.per_source_relations) == [
+            "bracket", "infobox", "tag",
+        ]
+
+    def test_later_source_sees_earlier_output(self, world):
+        class TagReader:
+            name = "tag-reader"
+
+            def generate(self, context):
+                if not context.relations_from("tag"):
+                    return []
+                return [IsARelation(
+                    "阅读概念", "人物", source="tag-reader",
+                    hyponym_kind="concept",
+                )]
+
+        registry = default_registry()
+        registry.register_source("tag-reader", TagReader)
+        result = build_cn_probase(
+            world.dump(), fast_config(), registry=registry
+        )
+        assert result.stage_trace.get("tag-reader").count == 1
+
+
 class TestConfigRegistryEquivalence:
     @pytest.mark.parametrize("stage,flag", [
         ("infobox", "enable_infobox"),

@@ -1,6 +1,9 @@
 """End-to-end HTTP tests: server wire format + TaxonomyClient SDK."""
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -303,6 +306,28 @@ class TestWireFormatRaw:
             "version": "v1",
             "results": [["刘德华#0", "周杰伦#0"]],
         }
+
+
+class TestKeepAlive:
+    """A kept-alive connection must not stall on the server's split
+    header/body writes (Nagle + delayed ACK costs ~40 ms a request)."""
+
+    def test_persistent_connection_median_under_10ms(self, cluster):
+        server, _ = cluster
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5.0)
+        seconds = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.010, seconds
 
 
 class TestApplyDeltaEndpoint:
